@@ -1,11 +1,13 @@
 //! # mg-eval
 //!
-//! Training loops, metrics and experiment harness for the AdamGNN
-//! reproduction: node classification, link prediction and graph
-//! classification trainers with best-validation checkpoint selection,
-//! plus text-table rendering for the paper's result tables.
+//! Training, metrics and experiment harness for the AdamGNN
+//! reproduction: node classification, link prediction, graph
+//! classification and node clustering behind one builder
+//! ([`TrainSession`]) and one epoch loop, plus text-table rendering for
+//! the paper's result tables.
 
 pub mod clustering;
+mod epoch_loop;
 pub mod graph_tasks;
 pub mod infer;
 pub mod metrics;
@@ -18,12 +20,12 @@ mod telemetry;
 pub mod trace;
 
 pub use clustering::{bce_pair_batch, kmeans, nmi};
-pub use graph_tasks::{build_contexts, GcRunResult};
+pub use graph_tasks::build_contexts;
 pub use infer::FrozenModel;
 pub use metrics::{accuracy, mean_std, pair_scores, roc_auc};
 pub use minibatch::{sampled_epochs_streamed, MinibatchConfig, StreamedEpoch};
 pub use models::{AnyNodeModel, GraphModelKind, NodeModelKind};
-pub use node_tasks::{RunResult, TrainConfig};
+pub use node_tasks::TrainConfig;
 pub use session::{RunOutcome, SessionInput, SessionKind, TrainSession};
 pub use tables::{auc, pct, TextTable};
 pub use trace::{EpochRecord, TrainTrace};

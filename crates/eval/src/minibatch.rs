@@ -1,4 +1,4 @@
-//! Sampled ego-subgraph minibatch trainers for the node-level tasks.
+//! Sampled ego-subgraph minibatch steps for the node-level tasks.
 //!
 //! Each optimizer step draws a batch of seed nodes (NC) or training
 //! edges (LP), expands a fanout-bounded neighborhood with
@@ -10,31 +10,28 @@
 //! no per-node parameters; everything is weight matrices shared across
 //! nodes).
 //!
-//! Evaluation stays full-graph: validation/test metrics are computed by
-//! a whole-graph eval-mode forward on the same fixture, which keeps the
-//! minibatch numbers directly comparable to the full-batch trainers.
-//! The million-node path ([`sampled_epoch_streamed`]) never builds a
-//! full-graph context at all — it trains purely on sampled subgraphs
-//! over a [`NodeFeatureSource`].
+//! The session trainers ([`crate::node_tasks`]) evaluate full-graph, so
+//! minibatch metrics stay directly comparable to full-batch ones. The
+//! million-node path ([`sampled_epochs_streamed`]) shares the NC step
+//! but never builds a full-graph context at all — it trains purely on
+//! sampled subgraphs over a [`NodeFeatureSource`].
 //!
 //! Sampling draws from the same `StdRng` stream as everything else in
 //! the epoch, so checkpoint/resume (which snapshots the RNG state at
 //! epoch boundaries) replays the exact seed shuffles, fanout choices and
 //! negative draws of an uninterrupted run.
 
-use crate::metrics::{accuracy, pair_scores, roc_auc};
-use crate::models::NodeModelKind;
-use crate::node_tasks::{run_meta, RunResult, TrainConfig};
-use crate::session::{self, CkptHooks};
-use crate::trace::TrainTrace;
-use adamgnn_core::{kl_loss, reconstruction_loss, total_loss};
-use mg_ckpt::{CkptMeta, TrainState};
-use mg_data::{LinkSplit, NeighborSampler, NodeDataset, NodeFeatureSource, SampledSubgraph, Split};
+use crate::epoch_loop::{Learner, Recon};
+use crate::models::{AnyNodeModel, NodeModelKind};
+use crate::node_tasks::{push_negatives, TrainConfig};
+use mg_data::{NeighborSampler, NodeDataset, NodeFeatureSource, SampledSubgraph};
+use mg_graph::Topology;
 use mg_nn::GraphCtx;
-use mg_obs::{SampleStepRecord, Stopwatch, Trace};
-use mg_tensor::{AdamConfig, Matrix, MgError, ParamStore, Tape};
+use mg_obs::SampleStepRecord;
+use mg_tensor::{Matrix, MgError, Tape};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Sampled-minibatch options, attached to a session with
@@ -72,12 +69,17 @@ impl MinibatchConfig {
     }
 }
 
-/// Deterministic in-place Fisher–Yates, drawing from the trainer RNG.
-fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+/// A fresh shuffled copy of `items`, drawn from the trainer RNG
+/// (Fisher–Yates). Shuffling a fresh clone each epoch makes the batch
+/// order a function of the RNG position alone, so a resumed run (which
+/// restores the RNG but not the previous permutation) replays it.
+pub(crate) fn shuffled<T: Clone>(items: &[T], rng: &mut StdRng) -> Vec<T> {
+    let mut items = items.to_vec();
     for i in (1..items.len()).rev() {
         let j = rng.random_range(0..=i);
         items.swap(i, j);
     }
+    items
 }
 
 /// Gather the sampled nodes' feature rows and labels into batch-local
@@ -94,429 +96,108 @@ fn gather_batch(src: &dyn NodeFeatureSource, sub: &SampledSubgraph) -> (Matrix, 
     (x, labels)
 }
 
-/// The sampled node-classification trainer behind
-/// `TrainSession::minibatch`. Splits, model construction and metric
-/// protocol are identical to the full-batch trainer; only the training
-/// forward runs on sampled subgraphs.
-pub(crate) fn node_classification_minibatch(
-    kind: NodeModelKind,
-    ds: &NodeDataset,
-    cfg: &TrainConfig,
-    mb: &MinibatchConfig,
-    hooks: &CkptHooks<'_>,
-) -> Result<(RunResult, TrainTrace), MgError> {
-    if mb.batch_size == 0 || mb.fanouts.is_empty() {
-        return Err(MgError::InvalidInput {
-            detail: "minibatch needs batch_size >= 1 and at least one fanout".into(),
-        });
-    }
-    let ctx = GraphCtx::new(ds.graph.clone(), ds.features.clone());
-    let split = Split::random_80_10_10(ds.n(), cfg.seed ^ 0x5eed)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let model = kind.build(
-        &mut store,
-        ds.feat_dim(),
-        cfg.hidden,
-        ds.num_classes,
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
-    let mut sampler = NeighborSampler::new(ds.n());
-
-    let meta = CkptMeta {
-        task: mb.task_tag("node_classification"),
-        model: kind.name().into(),
-        dataset: ds.name.clone(),
-        in_dim: ds.feat_dim(),
-        out_dim: ds.num_classes,
-        n_nodes: ds.n(),
-    };
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0;
-    let mut bad_epochs = 0;
-    let mut epochs_run = 0;
-    let mut trace = TrainTrace::new();
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        best_val = ck.state.best_val;
-        best_test = ck.state.best_test;
-        bad_epochs = ck.state.bad_epochs;
-        epochs_run = ck.state.epochs_run;
-        start_epoch = if bad_epochs >= cfg.patience {
-            cfg.epochs
-        } else {
-            ck.state.next_epoch
-        };
-        trace = session::restored_trace(ck);
-    }
-
-    let mut obs = Trace::from_env("node_classification");
-    obs.run_start(&run_meta(kind, ds, cfg));
-
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        let sw = Stopwatch::start();
-        // shuffle a fresh clone so the epoch's batch order is a function
-        // of the RNG position alone — a resumed run (which restores the
-        // RNG but not the previous epoch's permutation) then replays the
-        // uninterrupted run's batches exactly
-        let mut order = split.train.clone();
-        shuffle(&mut order, &mut rng);
-        let mut loss_sum = 0.0;
-        let mut steps = 0usize;
-        let mut peak_tape = 0u64;
-        for (step, seeds) in order.chunks(mb.batch_size).enumerate() {
-            let sub = sampler.sample(&ds.graph, seeds, &mb.fanouts, &mut rng);
-            let (sub_x, sub_labels) = gather_batch(ds, &sub);
-            let sub_ctx = GraphCtx::new(sub.topo.clone(), sub_x);
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (logits, internals) = model.forward(&tape, &bind, &sub_ctx, true, &mut rng);
-            let seed_locals: Vec<usize> = sub.seed_locals().collect();
-            let task = tape.cross_entropy(logits, Rc::new(sub_labels), Rc::new(seed_locals));
-            let mut loss = match &internals {
-                Some(out) => {
-                    let kl = if weights.gamma != 0.0 {
-                        kl_loss(&tape, out.h, &out.egos_l1)
-                    } else {
-                        tape.constant(Matrix::zeros(1, 1))
-                    };
-                    let recon = if weights.delta != 0.0 {
-                        reconstruction_loss(&tape, out.h, &sub_ctx.graph, &mut rng)
-                    } else {
-                        tape.constant(Matrix::zeros(1, 1))
-                    };
-                    total_loss(&tape, task, kl, recon, &weights)
-                }
-                None => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
-            }
-            let loss_value = tape.value(loss).scalar();
-            let mut grads = tape.backward(loss);
-            store.step(&mut grads, &bind, &adam);
-            loss_sum += loss_value;
-            steps += 1;
-            peak_tape = peak_tape.max(tape.peak_tape_bytes() as u64);
-            if obs.enabled() {
-                obs.sample_step(&SampleStepRecord {
-                    epoch,
-                    step,
-                    seeds: sub.num_seeds,
-                    sampled_nodes: sub.nodes.len(),
-                    sampled_edges: sub.topo.num_edges(),
-                    truncated: sub.truncated,
-                    loss: loss_value,
-                });
-            }
-        }
-        let train_loss = loss_sum / steps.max(1) as f64;
-        let train_ns = sw.elapsed_ns();
-        // full-graph evaluation, as in the full-batch trainer
-        let sw = Stopwatch::start();
-        let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let (logits, _) = model.forward(&tape, &bind, &ctx, false, &mut rng);
-        let lv = tape.value_cloned(logits);
-        let val = accuracy(&lv, &ds.labels, &split.val);
-        let eval_ns = sw.elapsed_ns();
-        trace.push(epoch, train_loss, val);
-        if obs.enabled() {
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: train_loss,
-                loss_task: None,
-                loss_kl: None,
-                loss_recon: None,
-                val_metric: Some(val),
-                train_ns,
-                eval_ns,
-                grad_norms: vec![],
-                beta: None,
-                level_sizes: vec![],
-                peak_tape_bytes: peak_tape,
-            });
-        }
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_test = accuracy(&lv, &ds.labels, &split.test);
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs >= cfg.patience {
-                stop = true;
-            }
-        }
-        if hooks.due(epoch + 1, stop || epoch + 1 == cfg.epochs) {
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run,
-                    best_val,
-                    best_test,
-                    bad_epochs,
-                },
-                &store,
-                &rng,
-                &trace,
-                &[],
-                // the pooling structure is per-subgraph and resampled
-                // every step; there is no single structure to pin
-                None,
-            )?;
-        }
-        if stop {
-            break;
-        }
-    }
-    crate::maybe_dump_kernel_stats("node_classification");
-    obs.kernel_stats();
-    obs.run_end(epochs_run, Some(best_val), Some(best_test));
-    Ok((
-        RunResult {
-            test_metric: best_test,
-            val_metric: best_val,
-            epochs_run,
-        },
-        trace,
-    ))
+/// A sampled trainer's configuration and the sampler's reusable scratch.
+pub(crate) struct Sampled<'a> {
+    pub mb: &'a MinibatchConfig,
+    pub sampler: NeighborSampler,
 }
 
-/// The sampled link-prediction trainer: each step takes a batch of
-/// training edges, seeds the sampler with their endpoints, scores the
-/// batch's positive pairs plus an equal number of sampled non-edges
-/// inside the subgraph, and steps on the BCE (+ γ·KL for AdamGNN).
-pub(crate) fn link_prediction_minibatch(
-    kind: NodeModelKind,
-    ds: &NodeDataset,
-    cfg: &TrainConfig,
-    mb: &MinibatchConfig,
-    hooks: &CkptHooks<'_>,
-) -> Result<(RunResult, TrainTrace), MgError> {
-    if mb.batch_size == 0 || mb.fanouts.is_empty() {
-        return Err(MgError::InvalidInput {
-            detail: "minibatch needs batch_size >= 1 and at least one fanout".into(),
-        });
-    }
-    let link = LinkSplit::new(&ds.graph, cfg.seed ^ 0x11bb)?;
-    let ctx = GraphCtx::new(link.train_graph.clone(), ds.features.clone());
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let embed_dim = cfg.hidden;
-    let model = kind.build(
-        &mut store,
-        ds.feat_dim(),
-        cfg.hidden,
-        embed_dim,
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
-    let mut sampler = NeighborSampler::new(ds.n());
-
-    let meta = CkptMeta {
-        task: mb.task_tag("link_prediction"),
-        model: kind.name().into(),
-        dataset: ds.name.clone(),
-        in_dim: ds.feat_dim(),
-        out_dim: embed_dim,
-        n_nodes: ds.n(),
-    };
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0;
-    let mut bad_epochs = 0;
-    let mut epochs_run = 0;
-    let mut trace = TrainTrace::new();
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        best_val = ck.state.best_val;
-        best_test = ck.state.best_test;
-        bad_epochs = ck.state.bad_epochs;
-        epochs_run = ck.state.epochs_run;
-        start_epoch = if bad_epochs >= cfg.patience {
-            cfg.epochs
-        } else {
-            ck.state.next_epoch
-        };
-        trace = session::restored_trace(ck);
-    }
-
-    let mut obs = Trace::from_env("link_prediction");
-    obs.run_start(&run_meta(kind, ds, cfg));
-
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        let sw = Stopwatch::start();
-        // fresh clone per epoch: batch order must be a function of the
-        // RNG position alone so resume replays it (see the NC trainer)
-        let mut order = link.train_pos.clone();
-        shuffle(&mut order, &mut rng);
-        let mut loss_sum = 0.0;
-        let mut steps = 0usize;
-        let mut peak_tape = 0u64;
-        for (step, batch) in order.chunks(mb.batch_size).enumerate() {
-            let mut seeds = Vec::with_capacity(batch.len() * 2);
-            for &(u, v) in batch {
-                seeds.push(u);
-                seeds.push(v);
-            }
-            let sub = sampler.sample(&link.train_graph, &seeds, &mb.fanouts, &mut rng);
-            // endpoints are seeds, so they occupy the remap's prefix:
-            // recover each one's local id from the prefix positions
-            let mut local: std::collections::HashMap<usize, usize> =
-                std::collections::HashMap::new();
-            for l in sub.seed_locals() {
-                local.insert(sub.nodes[l], l);
-            }
-            let (sub_x, _) = gather_batch(ds, &sub);
-            let sub_ctx = GraphCtx::new(sub.topo.clone(), sub_x);
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (h, internals) = model.forward(&tape, &bind, &sub_ctx, true, &mut rng);
-            let mut pairs: Vec<(usize, usize)> =
-                batch.iter().map(|&(u, v)| (local[&u], local[&v])).collect();
-            let mut labels = vec![1.0; pairs.len()];
-            // negatives: random local pairs whose global endpoints are
-            // non-adjacent in the *full* graph (same criterion as the
-            // full-batch trainer)
-            let k = sub.nodes.len();
-            let mut added = 0;
-            let mut guard = 0;
-            while added < batch.len() && guard < 200 * batch.len() {
-                guard += 1;
-                let lu = rng.random_range(0..k);
-                let lv = rng.random_range(0..k);
-                if lu != lv && !ds.graph.has_edge(sub.nodes[lu], sub.nodes[lv]) {
-                    pairs.push((lu, lv));
-                    labels.push(0.0);
-                    added += 1;
-                }
-            }
-            let task = tape.bce_pairs(h, Rc::new(pairs), Rc::new(labels));
-            let mut loss = match &internals {
-                Some(out) if weights.gamma != 0.0 => {
-                    let kl = kl_loss(&tape, out.h, &out.egos_l1);
-                    tape.add(task, tape.scale(kl, weights.gamma))
-                }
-                _ => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
-            }
-            let loss_value = tape.value(loss).scalar();
-            let mut grads = tape.backward(loss);
-            store.step(&mut grads, &bind, &adam);
-            loss_sum += loss_value;
-            steps += 1;
-            peak_tape = peak_tape.max(tape.peak_tape_bytes() as u64);
-            if obs.enabled() {
-                obs.sample_step(&SampleStepRecord {
-                    epoch,
-                    step,
-                    seeds: sub.num_seeds,
-                    sampled_nodes: sub.nodes.len(),
-                    sampled_edges: sub.topo.num_edges(),
-                    truncated: sub.truncated,
-                    loss: loss_value,
-                });
-            }
-        }
-        let train_loss = loss_sum / steps.max(1) as f64;
-        let train_ns = sw.elapsed_ns();
-        let sw = Stopwatch::start();
-        let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let (h, _) = model.forward(&tape, &bind, &ctx, false, &mut rng);
-        let hv = tape.value_cloned(h);
-        let val = roc_auc(
-            &pair_scores(&hv, &link.val_pos),
-            &pair_scores(&hv, &link.val_neg),
-        );
-        let eval_ns = sw.elapsed_ns();
-        trace.push(epoch, train_loss, val);
-        if obs.enabled() {
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: train_loss,
-                loss_task: None,
-                loss_kl: None,
-                loss_recon: None,
-                val_metric: Some(val),
-                train_ns,
-                eval_ns,
-                grad_norms: vec![],
-                beta: None,
-                level_sizes: vec![],
-                peak_tape_bytes: peak_tape,
+impl<'a> Sampled<'a> {
+    pub fn new(mb: &'a MinibatchConfig, n: usize) -> Result<Self, MgError> {
+        if mb.batch_size == 0 || mb.fanouts.is_empty() {
+            return Err(MgError::InvalidInput {
+                detail: "minibatch needs batch_size >= 1 and at least one fanout".into(),
             });
         }
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_test = roc_auc(
-                &pair_scores(&hv, &link.test_pos),
-                &pair_scores(&hv, &link.test_neg),
-            );
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs >= cfg.patience {
-                stop = true;
-            }
-        }
-        if hooks.due(epoch + 1, stop || epoch + 1 == cfg.epochs) {
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run,
-                    best_val,
-                    best_test,
-                    bad_epochs,
-                },
-                &store,
-                &rng,
-                &trace,
-                &[],
-                None,
-            )?;
-        }
-        if stop {
-            break;
-        }
+        Ok(Sampled {
+            mb,
+            sampler: NeighborSampler::new(n),
+        })
     }
-    crate::maybe_dump_kernel_stats("link_prediction");
-    obs.kernel_stats();
-    obs.run_end(epochs_run, Some(best_val), Some(best_test));
-    Ok((
-        RunResult {
-            test_metric: best_test,
-            val_metric: best_val,
-            epochs_run,
-        },
-        trace,
-    ))
+}
+
+/// Emit the `sample_step` record of the step at `(epoch, step)`.
+fn record_step(l: &mut Learner, (epoch, step): (usize, usize), sub: &SampledSubgraph, loss: f64) {
+    l.obs.sample_step(&SampleStepRecord {
+        epoch,
+        step,
+        seeds: sub.num_seeds,
+        sampled_nodes: sub.nodes.len(),
+        sampled_edges: sub.topo.num_edges(),
+        truncated: sub.truncated,
+        loss,
+    });
+}
+
+/// One sampled node-classification step, shared by the session trainer
+/// and [`sampled_epochs_streamed`]: sample the seeds' neighbourhood,
+/// forward on it, and step on the cross-entropy of the seed rows (plus
+/// AdamGNN's KL and `L_R` on the subgraph). Returns the loss and the
+/// subgraph.
+pub(crate) fn sampled_nc_step(
+    l: &mut Learner,
+    model: &AnyNodeModel,
+    src: &dyn NodeFeatureSource,
+    s: &mut Sampled<'_>,
+    seeds: &[usize],
+    at: (usize, usize),
+) -> (f64, SampledSubgraph) {
+    let sub = s
+        .sampler
+        .sample(src.graph(), seeds, &s.mb.fanouts, &mut l.rng);
+    let (sub_x, sub_labels) = gather_batch(src, &sub);
+    let sub_ctx = GraphCtx::new(sub.topo.clone(), sub_x);
+    let tape = Tape::new();
+    let bind = l.store.bind(&tape);
+    let (logits, internals) = model.forward(&tape, &bind, &sub_ctx, true, &mut l.rng);
+    let seed_locals: Vec<usize> = sub.seed_locals().collect();
+    let task = tape.cross_entropy(logits, Rc::new(sub_labels), Rc::new(seed_locals));
+    let recon = Recon::Graph(&sub_ctx.graph);
+    let loss = l.node_step(&tape, &bind, task, internals.as_ref(), recon);
+    record_step(l, at, &sub, loss);
+    (loss, sub)
+}
+
+/// One sampled link-prediction step: the batch's edge endpoints seed the
+/// sampler on the training graph, and the BCE scores the batch's
+/// positive pairs plus as many in-subgraph negatives, screened against
+/// the *full* graph as in the full-batch trainer (+ γ·KL for AdamGNN).
+pub(crate) fn sampled_lp_step(
+    l: &mut Learner,
+    model: &AnyNodeModel,
+    ds: &NodeDataset,
+    train_graph: &Topology,
+    s: &mut Sampled<'_>,
+    batch: &[(usize, usize)],
+    at: (usize, usize),
+) {
+    let seeds: Vec<usize> = batch.iter().flat_map(|&(u, v)| [u, v]).collect();
+    let sub = s
+        .sampler
+        .sample(train_graph, &seeds, &s.mb.fanouts, &mut l.rng);
+    // endpoints are seeds, so they occupy the remap's prefix
+    let local: HashMap<usize, usize> = sub.seed_locals().map(|l| (sub.nodes[l], l)).collect();
+    let (sub_x, _) = gather_batch(ds, &sub);
+    let sub_ctx = GraphCtx::new(sub.topo.clone(), sub_x);
+    let tape = Tape::new();
+    let bind = l.store.bind(&tape);
+    let (h, internals) = model.forward(&tape, &bind, &sub_ctx, true, &mut l.rng);
+    let mut pairs: Vec<(usize, usize)> =
+        batch.iter().map(|&(u, v)| (local[&u], local[&v])).collect();
+    let mut labels = vec![1.0; pairs.len()];
+    let k = sub.nodes.len();
+    push_negatives(
+        &mut pairs,
+        &mut labels,
+        batch.len(),
+        k,
+        200,
+        &mut l.rng,
+        |a, b| ds.graph.has_edge(sub.nodes[a], sub.nodes[b]),
+    );
+    let task = tape.bce_pairs(h, Rc::new(pairs), Rc::new(labels));
+    let loss = l.node_step(&tape, &bind, task, internals.as_ref(), Recon::Task);
+    record_step(l, at, &sub, loss);
 }
 
 /// Result of one streamed sampled epoch over a [`NodeFeatureSource`].
@@ -552,75 +233,37 @@ pub fn sampled_epochs_streamed(
         });
     }
     let n = src.n();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let model = kind.build(
-        &mut store,
-        src.feat_dim(),
-        cfg.hidden,
-        src.num_classes(),
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
-    let mut sampler = NeighborSampler::new(n);
-    let mut loss_sum = 0.0;
-    let mut steps = 0usize;
-    let mut sampled_nodes = 0usize;
-    let mut truncated = 0usize;
-    for _ in 0..cfg.epochs {
-        let mut remaining = seeds_per_epoch;
-        while remaining > 0 {
-            let take = remaining.min(mb.batch_size);
-            remaining -= take;
-            let seeds: Vec<usize> = (0..take).map(|_| rng.random_range(0..n)).collect();
-            let sub = sampler.sample(src.graph(), &seeds, &mb.fanouts, &mut rng);
-            let (sub_x, sub_labels) = gather_batch(src, &sub);
-            let sub_ctx = GraphCtx::new(sub.topo.clone(), sub_x);
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (logits, internals) = model.forward(&tape, &bind, &sub_ctx, true, &mut rng);
-            let seed_locals: Vec<usize> = sub.seed_locals().collect();
-            let task = tape.cross_entropy(logits, Rc::new(sub_labels), Rc::new(seed_locals));
-            let mut loss = match &internals {
-                Some(out) => {
-                    let kl = if weights.gamma != 0.0 {
-                        kl_loss(&tape, out.h, &out.egos_l1)
-                    } else {
-                        tape.constant(Matrix::zeros(1, 1))
-                    };
-                    let recon = if weights.delta != 0.0 {
-                        reconstruction_loss(&tape, out.h, &sub_ctx.graph, &mut rng)
-                    } else {
-                        tape.constant(Matrix::zeros(1, 1))
-                    };
-                    total_loss(&tape, task, kl, recon, &weights)
-                }
-                None => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
-            }
-            let loss_value = tape.value(loss).scalar();
-            if !loss_value.is_finite() {
+    let (mut l, model) = Learner::new(cfg, |store, rng| {
+        kind.build(
+            store,
+            src.feat_dim(),
+            cfg.hidden,
+            src.num_classes(),
+            cfg,
+            rng,
+        )
+    });
+    let mut s = Sampled::new(mb, n)?;
+    let (mut sampled_nodes, mut truncated) = (0, 0);
+    for epoch in 0..cfg.epochs {
+        for step in 0..seeds_per_epoch.div_ceil(mb.batch_size) {
+            let take = mb.batch_size.min(seeds_per_epoch - step * mb.batch_size);
+            let seeds: Vec<usize> = (0..take).map(|_| l.rng.random_range(0..n)).collect();
+            let (loss, sub) = sampled_nc_step(&mut l, &model, src, &mut s, &seeds, (epoch, step));
+            if !loss.is_finite() {
                 return Err(MgError::InvalidInput {
-                    detail: format!("non-finite sampled loss at step {steps}; lower lr or fanouts"),
+                    detail: format!(
+                        "non-finite sampled loss at epoch {epoch} step {step}; lower lr or fanouts"
+                    ),
                 });
             }
-            let mut grads = tape.backward(loss);
-            store.step(&mut grads, &bind, &adam);
-            loss_sum += loss_value;
-            steps += 1;
             sampled_nodes += sub.nodes.len();
             truncated += sub.truncated;
         }
     }
     Ok(StreamedEpoch {
-        mean_loss: loss_sum / steps as f64,
-        steps,
+        mean_loss: l.steps.mean_loss(),
+        steps: l.steps.count,
         sampled_nodes,
         truncated,
     })

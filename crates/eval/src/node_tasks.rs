@@ -1,39 +1,23 @@
-//! Trainers for the node-wise tasks: node classification (accuracy) and
-//! link prediction (ROC-AUC), following the paper's protocol (80/10/10
-//! splits, best-validation checkpointing, composite AdamGNN loss).
+//! Node classification (accuracy) and link prediction (ROC-AUC),
+//! following the paper's protocol: 80/10/10 splits, the test metric at
+//! the best validation epoch, the composite AdamGNN loss. Both train
+//! full-batch or, with a [`MinibatchConfig`], on sampled ego-subgraphs
+//! ([`crate::minibatch`]); evaluation is always a full-graph forward, so
+//! the two report comparable metrics.
 
+use crate::epoch_loop::{EpochLoop, EpochTask, Learner, Recon};
 use crate::metrics::{accuracy, pair_scores, roc_auc};
-use crate::models::NodeModelKind;
-use crate::session::{self, CkptHooks};
-use crate::telemetry;
-use crate::trace::TrainTrace;
-use adamgnn_core::{kl_loss, reconstruction_loss, total_loss, LossWeights, PoolingKind};
-use mg_ckpt::{CkptMeta, TrainState};
+use crate::minibatch::{sampled_lp_step, sampled_nc_step, shuffled, MinibatchConfig, Sampled};
+use crate::models::{AnyNodeModel, NodeModelKind};
+use crate::session::{CkptHooks, RunOutcome};
+use adamgnn_core::{FrozenStructure, LossWeights, PoolingKind};
+use mg_ckpt::CkptMeta;
 use mg_data::{LinkSplit, NodeDataset, Split};
 use mg_nn::GraphCtx;
-use mg_obs::{RunMeta, Stopwatch, Trace};
-use mg_tensor::{AdamConfig, MgError, ParamStore, Tape};
+use mg_tensor::{Matrix, MgError, ParamStore, Tape};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::rc::Rc;
-
-/// The `run_start` facts shared by the node-level trainers (including
-/// the clustering trainer in [`crate::clustering`]).
-pub(crate) fn run_meta(kind: NodeModelKind, ds: &NodeDataset, cfg: &TrainConfig) -> RunMeta {
-    RunMeta {
-        model: kind.name().to_string(),
-        dataset: ds.name.clone(),
-        n_nodes: ds.n(),
-        n_edges: ds.graph.num_edges(),
-        seed: cfg.seed,
-        epochs: cfg.epochs,
-        hidden: cfg.hidden,
-        levels: cfg.levels,
-        gamma: cfg.weights.gamma,
-        delta: cfg.weights.delta,
-        pooling: cfg.pooling.name().to_string(),
-    }
-}
 
 /// Training options shared by both node tasks.
 #[derive(Clone, Copy, Debug)]
@@ -71,405 +55,243 @@ impl Default for TrainConfig {
     }
 }
 
-/// Result of one training run.
-#[derive(Clone, Copy, Debug)]
-pub struct RunResult {
-    /// Test metric at the best-validation checkpoint.
-    pub test_metric: f64,
-    /// Best validation metric observed.
-    pub val_metric: f64,
-    /// Epochs actually run (early stopping may cut this short).
-    pub epochs_run: usize,
+/// The driver of a node-level job: checkpoint identity (a sampled job's
+/// task tag embeds its sampling config) and the graph trained on.
+pub(crate) fn node_loop<'a>(
+    task: &'static str,
+    kind: NodeModelKind,
+    ds: &NodeDataset,
+    out_dim: usize,
+    mb: Option<&MinibatchConfig>,
+    cfg: &'a TrainConfig,
+    hooks: &'a CkptHooks<'a>,
+) -> EpochLoop<'a> {
+    EpochLoop {
+        task,
+        meta: CkptMeta {
+            task: mb.map_or_else(|| task.to_string(), |mb| mb.task_tag(task)),
+            model: kind.name().into(),
+            dataset: ds.name.clone(),
+            in_dim: ds.feat_dim(),
+            out_dim,
+            n_nodes: ds.n(),
+        },
+        size: (ds.n(), ds.graph.num_edges()),
+        cfg,
+        hooks,
+    }
 }
 
-/// The node-classification trainer behind [`crate::TrainSession`]. With
-/// empty hooks this is the historical traced trainer, bit for bit.
-pub(crate) fn node_classification_session(
+/// Node classification: cross-entropy on the training nodes.
+struct NodeClassification<'a> {
+    ds: &'a NodeDataset,
+    model: AnyNodeModel,
+    ctx: GraphCtx,
+    split: Split,
+    targets: Rc<Vec<usize>>,
+    train_nodes: Rc<Vec<usize>>,
+    sampled: Option<Sampled<'a>>,
+    /// Logits of the latest validation forward, reused for the test metric.
+    logits: Matrix,
+}
+
+/// The node-classification trainer behind [`crate::TrainSession`].
+pub(crate) fn node_classification(
     kind: NodeModelKind,
     ds: &NodeDataset,
     cfg: &TrainConfig,
+    mb: Option<&MinibatchConfig>,
     hooks: &CkptHooks<'_>,
-) -> Result<(RunResult, TrainTrace), MgError> {
-    let ctx = GraphCtx::new(ds.graph.clone(), ds.features.clone());
+) -> Result<RunOutcome, MgError> {
+    let sampled = mb.map(|mb| Sampled::new(mb, ds.n())).transpose()?;
     let split = Split::random_80_10_10(ds.n(), cfg.seed ^ 0x5eed)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let model = kind.build(
-        &mut store,
-        ds.feat_dim(),
-        cfg.hidden,
+    let driver = node_loop(
+        "node_classification",
+        kind,
+        ds,
         ds.num_classes,
+        mb,
         cfg,
-        &mut rng,
+        hooks,
     );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
-    let targets = Rc::new(ds.labels.clone());
-    let train_nodes = Rc::new(split.train.clone());
-
-    let meta = CkptMeta {
-        task: "node_classification".into(),
-        model: kind.name().into(),
-        dataset: ds.name.clone(),
-        in_dim: ds.feat_dim(),
-        out_dim: ds.num_classes,
-        n_nodes: ds.n(),
-    };
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0;
-    let mut bad_epochs = 0;
-    let mut epochs_run = 0;
-    let mut trace = TrainTrace::new();
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        best_val = ck.state.best_val;
-        best_test = ck.state.best_test;
-        bad_epochs = ck.state.bad_epochs;
-        epochs_run = ck.state.epochs_run;
-        // a checkpoint taken at the early stop must not train further
-        start_epoch = if bad_epochs >= cfg.patience {
-            cfg.epochs
-        } else {
-            ck.state.next_epoch
-        };
-        trace = session::restored_trace(ck);
-    }
-
-    let mut obs = Trace::from_env("node_classification");
-    obs.run_start(&run_meta(kind, ds, cfg));
-
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        // train step
-        let sw = Stopwatch::start();
-        let (train_loss, step_obs) = {
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (logits, internals) = model.forward(&tape, &bind, &ctx, true, &mut rng);
-            let task = tape.cross_entropy(logits, targets.clone(), train_nodes.clone());
-            let mut kl_term = None;
-            let mut recon_term = None;
-            let mut loss = match &internals {
-                Some(out) => {
-                    let kl = if weights.gamma != 0.0 {
-                        kl_loss(&tape, out.h, &out.egos_l1)
-                    } else {
-                        tape.constant(mg_tensor::Matrix::zeros(1, 1))
-                    };
-                    let recon = if weights.delta != 0.0 {
-                        reconstruction_loss(&tape, out.h, &ctx.graph, &mut rng)
-                    } else {
-                        tape.constant(mg_tensor::Matrix::zeros(1, 1))
-                    };
-                    kl_term = Some(kl);
-                    recon_term = Some(recon);
-                    total_loss(&tape, task, kl, recon, &weights)
-                }
-                None => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
-            }
-            let loss_value = tape.value(loss).scalar();
-            let mut grads = tape.backward(loss);
-            // telemetry reads gradients before the optimiser consumes them
-            let step_obs = obs.enabled().then(|| {
-                telemetry::collect_step(
-                    &tape,
-                    &store,
-                    &bind,
-                    &grads,
-                    telemetry::LossTerms {
-                        task: Some(task),
-                        kl: kl_term,
-                        recon: recon_term,
-                    },
-                    internals.as_ref(),
-                )
-            });
-            store.step(&mut grads, &bind, &adam);
-            (loss_value, step_obs)
-        };
-        let train_ns = sw.elapsed_ns();
-        // evaluate
-        let sw = Stopwatch::start();
-        let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let (logits, _) = model.forward(&tape, &bind, &ctx, false, &mut rng);
-        let lv = tape.value_cloned(logits);
-        let val = accuracy(&lv, &ds.labels, &split.val);
-        let eval_ns = sw.elapsed_ns();
-        trace.push(epoch, train_loss, val);
-        if let Some(s) = step_obs {
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: train_loss,
-                loss_task: s.loss_task,
-                loss_kl: s.loss_kl,
-                loss_recon: s.loss_recon,
-                val_metric: Some(val),
-                train_ns,
-                eval_ns,
-                grad_norms: s.grad_norms,
-                beta: s.beta,
-                level_sizes: s.level_sizes,
-                peak_tape_bytes: s.peak_tape_bytes,
-            });
-        }
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_test = accuracy(&lv, &ds.labels, &split.test);
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs >= cfg.patience {
-                stop = true;
-            }
-        }
-        if hooks.due(epoch + 1, stop || epoch + 1 == cfg.epochs) {
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run,
-                    best_val,
-                    best_test,
-                    bad_epochs,
-                },
-                &store,
-                &rng,
-                &trace,
-                &[],
-                model.record_structure(&store, &ctx),
-            )?;
-        }
-        if stop {
-            break;
-        }
-    }
-    crate::maybe_dump_kernel_stats("node_classification");
-    obs.kernel_stats();
-    obs.run_end(epochs_run, Some(best_val), Some(best_test));
-    Ok((
-        RunResult {
-            test_metric: best_test,
-            val_metric: best_val,
-            epochs_run,
-        },
-        trace,
-    ))
+    driver.run(|store, rng| NodeClassification {
+        model: kind.build(store, ds.feat_dim(), cfg.hidden, ds.num_classes, cfg, rng),
+        ctx: GraphCtx::new(ds.graph.clone(), ds.features.clone()),
+        targets: Rc::new(ds.labels.clone()),
+        train_nodes: Rc::new(split.train.clone()),
+        split,
+        sampled,
+        ds,
+        logits: Matrix::zeros(0, 0),
+    })
 }
 
-/// The link-prediction trainer behind [`crate::TrainSession`]. With
-/// empty hooks this is the historical traced trainer, bit for bit.
-/// The encoder output is an embedding decoded by inner products; the
-/// task loss is the sampled reconstruction BCE (which for AdamGNN *is*
-/// `L_R`, so its total is `L_R + γ L_KL` as in the paper).
-pub(crate) fn link_prediction_session(
+impl EpochTask for NodeClassification<'_> {
+    fn train_epoch(&mut self, l: &mut Learner, epoch: usize) -> Result<(), MgError> {
+        let Some(s) = &mut self.sampled else {
+            let tape = Tape::new();
+            let bind = l.store.bind(&tape);
+            let (logits, internals) = self
+                .model
+                .forward(&tape, &bind, &self.ctx, true, &mut l.rng);
+            let task = tape.cross_entropy(logits, self.targets.clone(), self.train_nodes.clone());
+            l.node_step(
+                &tape,
+                &bind,
+                task,
+                internals.as_ref(),
+                Recon::Graph(&self.ctx.graph),
+            );
+            return Ok(());
+        };
+        let order = shuffled(&self.split.train, &mut l.rng);
+        for (step, seeds) in order.chunks(s.mb.batch_size).enumerate() {
+            sampled_nc_step(l, &self.model, self.ds, s, seeds, (epoch, step));
+        }
+        Ok(())
+    }
+
+    fn validate(&mut self, l: &mut Learner) -> Option<f64> {
+        self.logits = l.infer(&self.model, &self.ctx);
+        Some(accuracy(&self.logits, &self.ds.labels, &self.split.val))
+    }
+
+    fn test(&mut self, _l: &mut Learner) -> f64 {
+        accuracy(&self.logits, &self.ds.labels, &self.split.test)
+    }
+
+    fn structure(&self, store: &ParamStore) -> Option<FrozenStructure> {
+        // sampled steps rebuild the pooling structure per subgraph: none to pin
+        match self.sampled {
+            Some(_) => None,
+            None => self.model.record_structure(store, &self.ctx),
+        }
+    }
+}
+
+/// Link prediction: the encoder sees only the training graph and its
+/// embedding is decoded by inner products under a pair BCE, which for
+/// AdamGNN *is* `L_R` (total `L_R + γ·L_KL`, as in the paper).
+struct LinkPrediction<'a> {
+    ds: &'a NodeDataset,
+    model: AnyNodeModel,
+    ctx: GraphCtx,
+    link: LinkSplit,
+    sampled: Option<Sampled<'a>>,
+    /// Embeddings of the latest validation forward, reused for the test
+    /// metric.
+    emb: Matrix,
+}
+
+/// The link-prediction trainer behind [`crate::TrainSession`].
+pub(crate) fn link_prediction(
     kind: NodeModelKind,
     ds: &NodeDataset,
     cfg: &TrainConfig,
+    mb: Option<&MinibatchConfig>,
     hooks: &CkptHooks<'_>,
-) -> Result<(RunResult, TrainTrace), MgError> {
+) -> Result<RunOutcome, MgError> {
+    let sampled = mb.map(|mb| Sampled::new(mb, ds.n())).transpose()?;
     let link = LinkSplit::new(&ds.graph, cfg.seed ^ 0x11bb)?;
-    // the encoder sees only the training graph
-    let ctx = GraphCtx::new(link.train_graph.clone(), ds.features.clone());
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let embed_dim = cfg.hidden;
-    let model = kind.build(
-        &mut store,
-        ds.feat_dim(),
-        cfg.hidden,
-        embed_dim,
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
+    let driver = node_loop("link_prediction", kind, ds, cfg.hidden, mb, cfg, hooks);
+    driver.run(|store, rng| LinkPrediction {
+        model: kind.build(store, ds.feat_dim(), cfg.hidden, cfg.hidden, cfg, rng),
+        ctx: GraphCtx::new(link.train_graph.clone(), ds.features.clone()),
+        link,
+        sampled,
+        ds,
+        emb: Matrix::zeros(0, 0),
+    })
+}
 
-    let pos = link.train_pos.clone();
-    let n = ds.n();
-
-    let meta = CkptMeta {
-        task: "link_prediction".into(),
-        model: kind.name().into(),
-        dataset: ds.name.clone(),
-        in_dim: ds.feat_dim(),
-        out_dim: embed_dim,
-        n_nodes: ds.n(),
-    };
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0;
-    let mut bad_epochs = 0;
-    let mut epochs_run = 0;
-    let mut trace = TrainTrace::new();
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        best_val = ck.state.best_val;
-        best_test = ck.state.best_test;
-        bad_epochs = ck.state.bad_epochs;
-        epochs_run = ck.state.epochs_run;
-        start_epoch = if bad_epochs >= cfg.patience {
-            cfg.epochs
-        } else {
-            ck.state.next_epoch
-        };
-        trace = session::restored_trace(ck);
-    }
-
-    let mut obs = Trace::from_env("link_prediction");
-    obs.run_start(&run_meta(kind, ds, cfg));
-
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        let sw = Stopwatch::start();
-        let (train_loss, step_obs) = {
+impl EpochTask for LinkPrediction<'_> {
+    fn train_epoch(&mut self, l: &mut Learner, epoch: usize) -> Result<(), MgError> {
+        let Some(s) = &mut self.sampled else {
             let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (h, internals) = model.forward(&tape, &bind, &ctx, true, &mut rng);
-            // Fresh negatives each epoch. This guarded rejection loop
-            // predates mg_data::sample_non_edges and is deliberately kept
-            // bit-for-bit (the mg-verify link-prediction golden pins its
-            // exact draw sequence); unlike the evaluation sets, a rare
-            // training-negative shortfall only softens one epoch's loss.
-            let mut pairs = pos.clone();
-            let mut labels = vec![1.0; pos.len()];
-            let mut added = 0;
-            let mut guard = 0;
-            while added < pos.len() && guard < 100 * pos.len() {
-                guard += 1;
-                let u = rng.random_range(0..n);
-                let v = rng.random_range(0..n);
-                if u != v && !ds.graph.has_edge(u, v) {
-                    pairs.push((u, v));
-                    labels.push(0.0);
-                    added += 1;
-                }
-            }
-            let task = tape.bce_pairs(h, Rc::new(pairs), Rc::new(labels));
-            let mut kl_term = None;
-            let mut loss = match &internals {
-                Some(out) if weights.gamma != 0.0 => {
-                    // LP: L = L_R + γ L_KL (task loss already equals L_R)
-                    let kl = kl_loss(&tape, out.h, &out.egos_l1);
-                    kl_term = Some(kl);
-                    tape.add(task, tape.scale(kl, weights.gamma))
-                }
-                _ => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
-            }
-            let loss_value = tape.value(loss).scalar();
-            let mut grads = tape.backward(loss);
-            let step_obs = obs.enabled().then(|| {
-                // the BCE task term *is* L_R for link prediction
-                telemetry::collect_step(
-                    &tape,
-                    &store,
-                    &bind,
-                    &grads,
-                    telemetry::LossTerms {
-                        task: Some(task),
-                        kl: kl_term,
-                        recon: Some(task),
-                    },
-                    internals.as_ref(),
-                )
-            });
-            store.step(&mut grads, &bind, &adam);
-            (loss_value, step_obs)
-        };
-        let train_ns = sw.elapsed_ns();
-        let sw = Stopwatch::start();
-        let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let (h, _) = model.forward(&tape, &bind, &ctx, false, &mut rng);
-        let hv = tape.value_cloned(h);
-        let val = roc_auc(
-            &pair_scores(&hv, &link.val_pos),
-            &pair_scores(&hv, &link.val_neg),
-        );
-        let eval_ns = sw.elapsed_ns();
-        trace.push(epoch, train_loss, val);
-        if let Some(s) = step_obs {
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: train_loss,
-                loss_task: s.loss_task,
-                loss_kl: s.loss_kl,
-                loss_recon: s.loss_recon,
-                val_metric: Some(val),
-                train_ns,
-                eval_ns,
-                grad_norms: s.grad_norms,
-                beta: s.beta,
-                level_sizes: s.level_sizes,
-                peak_tape_bytes: s.peak_tape_bytes,
-            });
-        }
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_test = roc_auc(
-                &pair_scores(&hv, &link.test_pos),
-                &pair_scores(&hv, &link.test_neg),
+            let bind = l.store.bind(&tape);
+            let (h, internals) = self
+                .model
+                .forward(&tape, &bind, &self.ctx, true, &mut l.rng);
+            // fresh negatives each epoch, screened against the full graph
+            let pos = &self.link.train_pos;
+            let (mut pairs, mut labels) = (pos.clone(), vec![1.0; pos.len()]);
+            let n = self.ds.n();
+            push_negatives(
+                &mut pairs,
+                &mut labels,
+                pos.len(),
+                n,
+                100,
+                &mut l.rng,
+                |u, v| self.ds.graph.has_edge(u, v),
             );
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs >= cfg.patience {
-                stop = true;
-            }
+            let task = tape.bce_pairs(h, Rc::new(pairs), Rc::new(labels));
+            l.node_step(&tape, &bind, task, internals.as_ref(), Recon::Task);
+            return Ok(());
+        };
+        let order = shuffled(&self.link.train_pos, &mut l.rng);
+        for (step, batch) in order.chunks(s.mb.batch_size).enumerate() {
+            let train_graph = &self.link.train_graph;
+            sampled_lp_step(
+                l,
+                &self.model,
+                self.ds,
+                train_graph,
+                s,
+                batch,
+                (epoch, step),
+            );
         }
-        if hooks.due(epoch + 1, stop || epoch + 1 == cfg.epochs) {
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run,
-                    best_val,
-                    best_test,
-                    bad_epochs,
-                },
-                &store,
-                &rng,
-                &trace,
-                &[],
-                model.record_structure(&store, &ctx),
-            )?;
-        }
-        if stop {
-            break;
+        Ok(())
+    }
+
+    fn validate(&mut self, l: &mut Learner) -> Option<f64> {
+        self.emb = l.infer(&self.model, &self.ctx);
+        let (pos, neg) = (&self.link.val_pos, &self.link.val_neg);
+        Some(roc_auc(
+            &pair_scores(&self.emb, pos),
+            &pair_scores(&self.emb, neg),
+        ))
+    }
+
+    fn test(&mut self, _l: &mut Learner) -> f64 {
+        let (pos, neg) = (&self.link.test_pos, &self.link.test_neg);
+        roc_auc(&pair_scores(&self.emb, pos), &pair_scores(&self.emb, neg))
+    }
+
+    fn structure(&self, store: &ParamStore) -> Option<FrozenStructure> {
+        match self.sampled {
+            Some(_) => None,
+            None => self.model.record_structure(store, &self.ctx),
         }
     }
-    crate::maybe_dump_kernel_stats("link_prediction");
-    obs.kernel_stats();
-    obs.run_end(epochs_run, Some(best_val), Some(best_test));
-    Ok((
-        RunResult {
-            test_metric: best_test,
-            val_metric: best_val,
-            epochs_run,
-        },
-        trace,
-    ))
+}
+
+/// Append up to `count` negative pairs among `0..n` with label 0, by
+/// rejection sampling that gives up after `guard_per_pair * count` draws.
+/// This predates [`mg_data::sample_non_edges`] and is kept draw for draw
+/// (the mg-verify link-prediction golden pins it); unlike the evaluation
+/// sets, a rare shortfall only softens one step's loss.
+pub(crate) fn push_negatives(
+    pairs: &mut Vec<(usize, usize)>,
+    labels: &mut Vec<f64>,
+    count: usize,
+    n: usize,
+    guard_per_pair: usize,
+    rng: &mut StdRng,
+    adjacent: impl Fn(usize, usize) -> bool,
+) {
+    let (mut added, mut guard) = (0, 0);
+    while added < count && guard < guard_per_pair * count {
+        guard += 1;
+        let u = rng.random_range(0..n);
+        let v = rng.random_range(0..n);
+        if u != v && !adjacent(u, v) {
+            pairs.push((u, v));
+            labels.push(0.0);
+            added += 1;
+        }
+    }
 }
 
 #[cfg(test)]

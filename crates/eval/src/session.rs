@@ -17,33 +17,21 @@
 //! .unwrap();
 //! ```
 //!
-//! The old functions were deprecated in 0.5.0 and removed in 0.10.0 —
-//! every caller (including mg-verify's pinned goldens) now routes
-//! through `TrainSession`, which reproduces them bit for bit.
-//!
-//! ## Checkpointing contract
-//!
-//! Checkpoint writes are *pure observation*: a run with checkpointing
-//! enabled performs exactly the same RNG draws and float operations as
-//! one without, because state capture happens after each epoch's
-//! bookkeeping and the structure-recording forward pass draws nothing
-//! from the training stream. Conversely, a run resumed from a
-//! checkpoint reproduces the uninterrupted run bit for bit: parameters,
-//! Adam moments, the shared step counter, the RNG stream position and
-//! the early-stopping counters are all restored exactly, and the
-//! remaining epochs replay the identical draw sequence.
+//! Every task trains in the one epoch loop (`crate::epoch_loop`), which
+//! owns the contracts: a checkpointed or traced run equals the plain run
+//! bit for bit, and a resumed run equals the uninterrupted one.
 
-use crate::graph_tasks::build_contexts;
+use crate::clustering;
+use crate::graph_tasks::{self, build_contexts};
 use crate::minibatch::MinibatchConfig;
 use crate::models::{GraphModelKind, NodeModelKind};
-use crate::node_tasks::TrainConfig;
+use crate::node_tasks::{self, TrainConfig};
 use crate::trace::TrainTrace;
-use adamgnn_core::{FrozenStructure, LossWeights};
-use mg_ckpt::{Checkpoint, CkptConfig, CkptMeta, TraceRow, TrainState};
+use adamgnn_core::LossWeights;
+use mg_ckpt::{Checkpoint, CkptConfig, CkptMeta};
 use mg_data::{GraphDataset, NodeDataset};
 use mg_nn::GraphCtx;
-use mg_tensor::{MgError, ParamStore};
-use rand::rngs::StdRng;
+use mg_tensor::MgError;
 use std::path::{Path, PathBuf};
 
 /// Which task to train, and with which model.
@@ -200,6 +188,17 @@ impl TrainSession {
                     .into(),
             });
         }
+        if self.checkpoint_every == Some(0) {
+            return Err(MgError::InvalidInput {
+                detail: "checkpoint_every(n) needs n >= 1".into(),
+            });
+        }
+        if matches!(self.kind, SessionKind::GraphClassification(_)) && self.cfg.epochs == 0 {
+            // its outcome reports the mean epoch time, undefined over no epochs
+            return Err(MgError::InvalidInput {
+                detail: "graph classification needs epochs >= 1".into(),
+            });
+        }
         if self.minibatch.is_some()
             && !matches!(
                 self.kind,
@@ -223,92 +222,32 @@ impl TrainSession {
             path: self.checkpoint_to.as_deref(),
             resume: resume.as_ref(),
         };
+        let (cfg, mb) = (&self.cfg, self.minibatch.as_ref());
         let mut outcome = match (self.kind, input.into()) {
             (SessionKind::NodeClassification(k), SessionInput::Node(ds)) => {
-                let (res, trace) = match &self.minibatch {
-                    Some(mb) => crate::minibatch::node_classification_minibatch(
-                        k, ds, &self.cfg, mb, &hooks,
-                    )?,
-                    None => {
-                        crate::node_tasks::node_classification_session(k, ds, &self.cfg, &hooks)?
-                    }
-                };
-                RunOutcome {
-                    test_metric: res.test_metric,
-                    val_metric: Some(res.val_metric),
-                    epochs_run: res.epochs_run,
-                    trace,
-                    epoch_seconds: None,
-                }
+                node_tasks::node_classification(k, ds, cfg, mb, &hooks)
             }
             (SessionKind::LinkPrediction(k), SessionInput::Node(ds)) => {
-                let (res, trace) = match &self.minibatch {
-                    Some(mb) => {
-                        crate::minibatch::link_prediction_minibatch(k, ds, &self.cfg, mb, &hooks)?
-                    }
-                    None => crate::node_tasks::link_prediction_session(k, ds, &self.cfg, &hooks)?,
-                };
-                RunOutcome {
-                    test_metric: res.test_metric,
-                    val_metric: Some(res.val_metric),
-                    epochs_run: res.epochs_run,
-                    trace,
-                    epoch_seconds: None,
-                }
+                node_tasks::link_prediction(k, ds, cfg, mb, &hooks)
             }
             (SessionKind::NodeClustering(k), SessionInput::Node(ds)) => {
-                let (score, trace) =
-                    crate::clustering::node_clustering_session(k, ds, &self.cfg, &hooks)?;
-                RunOutcome {
-                    test_metric: score,
-                    val_metric: None,
-                    epochs_run: self.cfg.epochs,
-                    trace,
-                    epoch_seconds: None,
-                }
+                clustering::node_clustering(k, ds, cfg, &hooks)
             }
             (SessionKind::GraphClassification(k), SessionInput::Graphs(ds)) => {
-                let contexts = build_contexts(ds);
-                let (res, trace, epochs_run) = crate::graph_tasks::graph_classification_session(
-                    k,
-                    &contexts,
-                    ds.feat_dim,
-                    &self.cfg,
-                    &hooks,
-                )?;
-                RunOutcome {
-                    test_metric: res.test_accuracy,
-                    val_metric: Some(res.val_accuracy),
-                    epochs_run,
-                    trace,
-                    epoch_seconds: Some(res.epoch_seconds),
-                }
+                graph_tasks::graph_classification(k, &build_contexts(ds), ds.feat_dim, cfg, &hooks)
             }
             (
                 SessionKind::GraphClassification(k),
                 SessionInput::Prebuilt { contexts, feat_dim },
-            ) => {
-                let (res, trace, epochs_run) = crate::graph_tasks::graph_classification_session(
-                    k, contexts, feat_dim, &self.cfg, &hooks,
-                )?;
-                RunOutcome {
-                    test_metric: res.test_accuracy,
-                    val_metric: Some(res.val_accuracy),
-                    epochs_run,
-                    trace,
-                    epoch_seconds: Some(res.epoch_seconds),
-                }
-            }
-            (kind, _) => {
-                return Err(MgError::InvalidInput {
-                    detail: format!(
-                        "{} cannot run on this input (node-level tasks take a NodeDataset, \
-                         graph classification a GraphDataset or prebuilt contexts)",
-                        kind.task_name()
-                    ),
-                })
-            }
-        };
+            ) => graph_tasks::graph_classification(k, contexts, feat_dim, cfg, &hooks),
+            (kind, _) => Err(MgError::InvalidInput {
+                detail: format!(
+                    "{} cannot run on this input (node-level tasks take a NodeDataset, \
+                     graph classification a GraphDataset or prebuilt contexts)",
+                    kind.task_name()
+                ),
+            }),
+        }?;
         if !self.traced {
             outcome.trace = TrainTrace::new();
         }
@@ -316,9 +255,8 @@ impl TrainSession {
     }
 }
 
-/// Checkpoint/resume wiring threaded into the task trainers. With all
-/// fields `None` the trainers behave exactly as before the session API
-/// existed — checkpointing is pure observation.
+/// Checkpoint/resume wiring of one run. With all fields `None` nothing is
+/// written or restored.
 pub(crate) struct CkptHooks<'a> {
     pub every: Option<usize>,
     pub path: Option<&'a Path>,
@@ -340,11 +278,7 @@ impl CkptHooks<'_> {
     /// `last` marks the final epoch (exhaustion or early stop), which
     /// always writes when a destination is configured.
     pub fn due(&self, completed: usize, last: bool) -> bool {
-        self.path.is_some()
-            && (last
-                || self
-                    .every
-                    .is_some_and(|k| k > 0 && completed.is_multiple_of(k)))
+        self.path.is_some() && (last || self.every.is_some_and(|k| completed.is_multiple_of(k)))
     }
 }
 
@@ -413,51 +347,6 @@ pub(crate) fn check_resume(
         });
     }
     Ok(())
-}
-
-/// The trace prefix a resumed run starts from.
-pub(crate) fn restored_trace(ck: &Checkpoint) -> TrainTrace {
-    let mut trace = TrainTrace::new();
-    for row in &ck.trace {
-        trace.push(row.epoch, row.loss, row.val);
-    }
-    trace
-}
-
-/// Assemble and atomically write one checkpoint file.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_checkpoint(
-    path: &Path,
-    meta: &CkptMeta,
-    cfg: &TrainConfig,
-    state: TrainState,
-    store: &ParamStore,
-    rng: &StdRng,
-    trace: &TrainTrace,
-    epoch_times: &[f64],
-    structure: Option<FrozenStructure>,
-) -> Result<(), MgError> {
-    let (params, adam_t) = store.export_state();
-    let ck = Checkpoint {
-        meta: meta.clone(),
-        config: to_ckpt_config(cfg),
-        state,
-        params,
-        adam_t,
-        rng: rng.state(),
-        trace: trace
-            .records
-            .iter()
-            .map(|r| TraceRow {
-                epoch: r.epoch,
-                loss: r.loss,
-                val: r.val,
-            })
-            .collect(),
-        epoch_times: epoch_times.to_vec(),
-        structure,
-    };
-    ck.save(path)
 }
 
 #[cfg(test)]
@@ -557,6 +446,15 @@ mod tests {
         .checkpoint_every(5)
         .run(&ds);
         assert!(matches!(err, Err(MgError::InvalidInput { .. })));
+        // a zero cadence is rejected, not read as "final checkpoint only"
+        let err = TrainSession::new(
+            SessionKind::NodeClassification(NodeModelKind::Gcn),
+            &TrainConfig::default(),
+        )
+        .checkpoint_to(std::env::temp_dir().join("mg_session_every0.mgck"))
+        .checkpoint_every(0)
+        .run(&ds);
+        assert!(matches!(err, Err(MgError::InvalidInput { .. })));
     }
 
     #[test]
@@ -572,6 +470,17 @@ mod tests {
         let err = TrainSession::new(
             SessionKind::NodeClassification(NodeModelKind::Gcn),
             &TrainConfig::default(),
+        )
+        .run(&ds);
+        assert!(matches!(err, Err(MgError::InvalidInput { .. })));
+        // graph classification over zero epochs has no mean epoch time
+        let no_epochs = TrainConfig {
+            epochs: 0,
+            ..TrainConfig::default()
+        };
+        let err = TrainSession::new(
+            SessionKind::GraphClassification(GraphModelKind::Gin),
+            &no_epochs,
         )
         .run(&ds);
         assert!(matches!(err, Err(MgError::InvalidInput { .. })));

@@ -13,6 +13,7 @@ use mg_tensor::{Binding, Gradients, ParamStore, Tape, Var};
 
 /// The telemetry of one training step, harvested between `backward` and
 /// the optimiser step (gradients are consumed by `ParamStore::step`).
+#[derive(Default)]
 pub(crate) struct StepObs {
     pub loss_task: Option<f64>,
     pub loss_kl: Option<f64>,

@@ -9,8 +9,13 @@
 //! with them, and the tests here serialise on [`ENV_LOCK`] so they
 //! cannot race with each other.
 
-use mg_data::{make_node_dataset, NodeDatasetKind, NodeGenConfig};
-use mg_eval::{NodeModelKind, SessionKind, TrainConfig, TrainSession};
+use mg_data::{
+    make_graph_dataset, make_node_dataset, GraphDatasetKind, GraphGenConfig, NodeDatasetKind,
+    NodeGenConfig,
+};
+use mg_eval::{
+    GraphModelKind, MinibatchConfig, NodeModelKind, SessionKind, TrainConfig, TrainSession,
+};
 use mg_obs::{validate_trace, Json};
 use std::sync::Mutex;
 
@@ -169,4 +174,145 @@ fn all_trainers_emit_complete_run_records() {
     assert_eq!(report.epochs, nc.epochs_run + lp.epochs_run + cfg.epochs);
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// Run `session` once untraced and once traced into a fresh file; return
+/// both outcomes and the trace text.
+fn untraced_and_traced(
+    name: &str,
+    session: impl Fn() -> mg_eval::RunOutcome,
+) -> (mg_eval::RunOutcome, mg_eval::RunOutcome, String) {
+    std::env::remove_var("MG_TRACE");
+    let base = session();
+    let path = std::env::temp_dir().join(format!("mg_obs_{name}_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    std::env::set_var("MG_TRACE", &path);
+    let traced = session();
+    std::env::remove_var("MG_TRACE");
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let _ = std::fs::remove_file(&path);
+    (base, traced, text)
+}
+
+/// Bitwise equality of everything deterministic in two outcomes.
+fn assert_same_run(a: &mg_eval::RunOutcome, b: &mg_eval::RunOutcome, what: &str) {
+    assert_eq!(a.trace, b.trace, "{what}: tracing changed the run");
+    assert_eq!(a.test_metric.to_bits(), b.test_metric.to_bits(), "{what}");
+    assert_eq!(
+        a.val_metric.map(f64::to_bits),
+        b.val_metric.map(f64::to_bits),
+        "{what}"
+    );
+    assert_eq!(a.epochs_run, b.epochs_run, "{what}");
+}
+
+fn sampled_mb() -> MinibatchConfig {
+    MinibatchConfig {
+        batch_size: 32,
+        fanouts: vec![6, 6],
+    }
+}
+
+/// Telemetry is pure observation on the sampled trainer too.
+#[test]
+fn traced_sampled_run_is_bitwise_identical() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let ds = tiny_ds();
+    let cfg = fast_cfg();
+    let (base, traced, text) = untraced_and_traced("sampled_nc", || {
+        TrainSession::new(
+            SessionKind::NodeClassification(NodeModelKind::AdamGnn),
+            &cfg,
+        )
+        .minibatch(sampled_mb())
+        .run(&ds)
+        .unwrap()
+    });
+    assert_same_run(&base, &traced, "sampled node classification");
+    let report = validate_trace(&text).expect("trace validates");
+    assert_eq!(report.epochs, traced.epochs_run);
+    assert!(report.sample_steps >= traced.epochs_run);
+}
+
+/// Telemetry is pure observation on the graph-classification trainer.
+#[test]
+fn traced_graph_classification_is_bitwise_identical() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let ds = make_graph_dataset(
+        GraphDatasetKind::Mutagenicity,
+        &GraphGenConfig {
+            scale: 0.03,
+            max_nodes: 20,
+            seed: 2,
+        },
+    );
+    let cfg = TrainConfig {
+        epochs: 3,
+        patience: 3,
+        ..fast_cfg()
+    };
+    let (base, traced, text) = untraced_and_traced("gc", || {
+        TrainSession::new(
+            SessionKind::GraphClassification(GraphModelKind::AdamGnn),
+            &cfg,
+        )
+        .run(&ds)
+        .unwrap()
+    });
+    assert_same_run(&base, &traced, "graph classification");
+    let report = validate_trace(&text).expect("trace validates");
+    assert_eq!(report.epochs, traced.epochs_run);
+}
+
+/// Sampled epochs report the same loss decomposition, gradient norms
+/// and flyback-β statistics as full-batch epochs, for node
+/// classification and link prediction alike.
+#[test]
+fn sampled_epoch_records_carry_the_loss_decomposition() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let ds = tiny_ds();
+    let cfg = fast_cfg();
+    for kind in [
+        SessionKind::NodeClassification(NodeModelKind::AdamGnn),
+        SessionKind::LinkPrediction(NodeModelKind::AdamGnn),
+    ] {
+        let (_, traced, text) = untraced_and_traced("sampled_terms", || {
+            TrainSession::new(kind, &cfg)
+                .minibatch(sampled_mb())
+                .run(&ds)
+                .unwrap()
+        });
+        let report = validate_trace(&text).expect("trace validates");
+        assert_eq!(report.epochs, traced.epochs_run);
+        let mut epochs = 0;
+        for line in text.lines() {
+            let v = Json::parse(line).expect("line parses");
+            if v.get("kind").and_then(Json::as_str) != Some("epoch") {
+                continue;
+            }
+            epochs += 1;
+            for term in ["loss_total", "loss_task", "loss_kl", "loss_recon"] {
+                let x = v.get(term).and_then(Json::as_f64).unwrap_or_else(|| {
+                    panic!("{}: epoch record missing {term}: {line}", kind.task_name())
+                });
+                assert!(x.is_finite());
+            }
+            assert!(
+                v.get("grad_norms")
+                    .and_then(Json::as_arr)
+                    .is_some_and(|a| !a.is_empty()),
+                "{}: no gradient norms: {line}",
+                kind.task_name()
+            );
+            assert!(
+                v.get("beta")
+                    .and_then(|b| b.get("mean"))
+                    .and_then(Json::as_arr)
+                    .is_some_and(|a| !a.is_empty()),
+                "{}: no flyback-β stats: {line}",
+                kind.task_name()
+            );
+        }
+        assert_eq!(epochs, traced.epochs_run);
+    }
 }

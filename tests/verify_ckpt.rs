@@ -22,7 +22,8 @@ use adamgnn_repro::data::{
     NodeDatasetKind, NodeGenConfig,
 };
 use adamgnn_repro::eval::{
-    FrozenModel, GraphModelKind, NodeModelKind, RunOutcome, SessionKind, TrainConfig, TrainSession,
+    FrozenModel, GraphModelKind, MinibatchConfig, NodeModelKind, RunOutcome, SessionKind,
+    TrainConfig, TrainSession,
 };
 use mg_ckpt::Checkpoint;
 use mg_tensor::MgError;
@@ -386,5 +387,38 @@ fn frozen_inference_is_deterministic_across_loads() {
         a.predict_labels(&ctx).expect("labels"),
         b.predict_labels(&ctx).expect("labels")
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The resume contract for the sampled link-prediction trainer: epoch
+/// shuffles, fanout draws and in-subgraph negatives all come from the
+/// checkpointed RNG stream, so a prefix run resumed to the full budget
+/// equals the uninterrupted sampled run bit for bit.
+#[test]
+fn sampled_link_prediction_resume_equals_uninterrupted() {
+    let ds = node_ds();
+    let kind = SessionKind::LinkPrediction(NodeModelKind::AdamGnn);
+    let mb = || MinibatchConfig {
+        batch_size: 48,
+        fanouts: vec![6, 6],
+    };
+    let path = tmp("sampled_lp");
+    let _ = std::fs::remove_file(&path);
+    let full = TrainSession::new(kind, &cfg(6))
+        .minibatch(mb())
+        .run(&ds)
+        .expect("runs");
+    let prefix = TrainSession::new(kind, &cfg(2))
+        .minibatch(mb())
+        .checkpoint_to(&path)
+        .run(&ds)
+        .expect("runs");
+    assert_eq!(prefix.trace.records.len(), 2, "prefix stops at its budget");
+    let resumed = TrainSession::new(kind, &cfg(6))
+        .minibatch(mb())
+        .resume_from(&path)
+        .run(&ds)
+        .expect("resume runs");
+    assert_outcomes_bitwise(&full, &resumed, "sampled link prediction");
     let _ = std::fs::remove_file(&path);
 }
